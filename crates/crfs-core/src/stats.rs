@@ -430,14 +430,18 @@ impl StatsSnapshot {
     }
 
     /// Stored-byte reduction achieved by the transform stage:
-    /// `bytes_logical / bytes_stored`. 1.0 means no reduction; 0.0 when
-    /// the transform stage never ran. Above 1.0, compression + dedup
-    /// are shrinking the checkpoint volume.
+    /// `bytes_logical / (bytes_stored + snapshot_bytes)`. The
+    /// denominator counts every frame byte written: the user-file logs
+    /// and, on snapshot mounts, the content-store files that hold the
+    /// chunk bytes the logs' REF frames point at. 1.0 means no
+    /// reduction; 0.0 when the transform stage never ran. Above 1.0,
+    /// compression + dedup are shrinking the checkpoint volume.
     pub fn compress_ratio(&self) -> f64 {
-        if self.bytes_stored == 0 {
+        let stored = self.bytes_stored + self.snapshot_bytes;
+        if stored == 0 {
             0.0
         } else {
-            self.bytes_logical as f64 / self.bytes_stored as f64
+            self.bytes_logical as f64 / stored as f64
         }
     }
 
@@ -632,10 +636,11 @@ impl std::fmt::Display for StatsSnapshot {
         if self.bytes_stored > 0 || self.integrity_failures > 0 {
             writeln!(
                 f,
-                "transform: {} logical -> {} stored ({:.2}x); {} dedup hits; \
-                 {} integrity failures; {:?} in codec",
+                "transform: {} logical -> {} stored in logs + {} in snapshot CAS \
+                 ({:.2}x); {} dedup hits; {} integrity failures; {:?} in codec",
                 self.bytes_logical,
                 self.bytes_stored,
+                self.snapshot_bytes,
                 self.compress_ratio(),
                 self.dedup_hits,
                 self.integrity_failures,
@@ -804,6 +809,20 @@ mod tests {
         assert_eq!(s.snapshot().compress_ratio(), 4.0);
         let text = s.snapshot().to_string();
         assert!(text.contains("4.00x"), "{text}");
+    }
+
+    /// On a snapshot mount the logs hold only REF frames; the chunk
+    /// bytes land in the content store and must count as stored.
+    #[test]
+    fn compress_ratio_counts_snapshot_store_bytes() {
+        let s = CrfsStats::new();
+        s.bytes_logical.fetch_add(8 << 20, Relaxed);
+        s.bytes_stored.fetch_add(2 * 60, Relaxed); // two REF frames
+        s.snapshot_bytes.fetch_add((4 << 20) - 120, Relaxed);
+        let snap = s.snapshot();
+        assert_eq!(snap.compress_ratio(), 2.0);
+        let text = snap.to_string();
+        assert!(text.contains("+ 4194184 in snapshot CAS (2.00x)"), "{text}");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! - [`Lz`] — a greedy LZ77 with a rolling 4-byte hash-table match
 //!   finder (the format every fast LZ family — LZ4, snappy — builds
 //!   on). Catches the repeated structure stdchk observed in checkpoint
-//!   streams, not just runs.
+//!   streams, not just runs. Like LZ4 it skips ahead through
+//!   incompressible data: after each miss the probe advances
+//!   `1 + misses >> 8` bytes, and the step resets on a match.
 //!
 //! Both decoders are fully bounds-checked: corrupted stored bytes must
 //! surface as an error, never as a panic or an out-of-bounds copy — the
@@ -20,7 +22,11 @@
 //! Every encoder honours the *store-raw escape hatch*: if the encoded
 //! form would not be strictly smaller than the payload, the chunk is
 //! stored raw (codec id [`STORED_RAW`]), so incompressible data costs
-//! only the frame header, never an inflation.
+//! only the frame header, never an inflation. `Lz` makes that decision
+//! arithmetically before copying pending literals (a run of `n` costs
+//! `n + ceil(n / 128)` bytes), so a chunk that escapes is never copied
+//! into the output first; [`encode_payload`] sizes the output once for
+//! the raw worst case.
 
 use std::io;
 
@@ -99,9 +105,11 @@ fn corrupt(msg: &str) -> io::Error {
 
 /// Encodes `src` with the codec `kind` selects, falling back to raw
 /// when the codec declines (escape hatch). Returns the stored codec id;
-/// the encoded bytes are appended to `dst`.
+/// the encoded bytes are appended to `dst`, which is grown once, to
+/// room for the raw worst case, before encoding starts.
 pub fn encode_payload(kind: CodecKind, src: &[u8], dst: &mut Vec<u8>) -> u8 {
     let mark = dst.len();
+    dst.reserve_exact(src.len());
     let encoded = match kind {
         CodecKind::None | CodecKind::Identity => false,
         CodecKind::Rle => {
@@ -260,6 +268,19 @@ const LZ_MAX_MATCH: usize = 127 + LZ_MIN_MATCH;
 const LZ_MAX_LITERAL: usize = 128;
 const LZ_MAX_DIST: usize = u16::MAX as usize;
 const LZ_HASH_BITS: u32 = 14;
+/// Bytes a match token takes: control byte + 2-byte distance.
+const LZ_MATCH_TOKEN: usize = 3;
+/// Misses per extra byte of skip step (the step is
+/// `1 + misses >> LZ_SKIP_TRIGGER`). A smaller trigger skips sooner
+/// but misses matches in compressible data.
+const LZ_SKIP_TRIGGER: u32 = 8;
+
+/// Encoded size of an `n`-byte literal run: the bytes plus one control
+/// byte per [`LZ_MAX_LITERAL`] of them.
+#[inline]
+fn literal_cost(n: usize) -> usize {
+    n + n.div_ceil(LZ_MAX_LITERAL)
+}
 
 #[inline]
 fn lz_hash(bytes: &[u8]) -> usize {
@@ -290,6 +311,7 @@ impl Codec for Lz {
         };
         let mut i = 0;
         let mut lit_start = 0;
+        let mut misses = 0usize;
         while i + LZ_MIN_MATCH <= src.len() {
             let h = lz_hash(&src[i..]);
             let cand = table[h];
@@ -297,34 +319,46 @@ impl Codec for Lz {
             let matched = cand != usize::MAX
                 && i - cand <= LZ_MAX_DIST
                 && src[cand..cand + LZ_MIN_MATCH] == src[i..i + LZ_MIN_MATCH];
-            if matched {
-                let mut len = LZ_MIN_MATCH;
-                let max = (src.len() - i).min(LZ_MAX_MATCH);
-                while len < max && src[cand + len] == src[i + len] {
-                    len += 1;
-                }
-                flush_literals(dst, lit_start, i);
-                dst.push((128 + (len - LZ_MIN_MATCH)) as u8);
-                dst.extend_from_slice(&((i - cand) as u16).to_le_bytes());
-                // Seed the table inside the match so later data can
-                // reference it (sparse stride keeps encoding fast).
-                let mut j = i + 1;
-                let seed_end = (i + len).min(src.len() - LZ_MIN_MATCH);
-                while j < seed_end {
-                    table[lz_hash(&src[j..])] = j;
-                    j += 2;
-                }
-                i += len;
-                lit_start = i;
-            } else {
-                i += 1;
+            if !matched {
+                // Skip acceleration: the longer the miss streak, the
+                // wider the step, so incompressible data is scanned
+                // sparsely instead of probed at every byte.
+                i += 1 + (misses >> LZ_SKIP_TRIGGER);
+                misses += 1;
+                continue;
             }
-            if dst.len() - start >= budget {
+            misses = 0;
+            // Output only grows here; decide the escape before copying
+            // the pending literals.
+            if dst.len() - start + literal_cost(i - lit_start) + LZ_MATCH_TOKEN >= budget {
                 return false;
             }
+            let mut len = LZ_MIN_MATCH;
+            let max = (src.len() - i).min(LZ_MAX_MATCH);
+            while len < max && src[cand + len] == src[i + len] {
+                len += 1;
+            }
+            flush_literals(dst, lit_start, i);
+            dst.push((128 + (len - LZ_MIN_MATCH)) as u8);
+            dst.extend_from_slice(&((i - cand) as u16).to_le_bytes());
+            // Seed the table inside the match so later data can
+            // reference it (sparse stride keeps encoding fast).
+            let mut j = i + 1;
+            let seed_end = (i + len).min(src.len() - LZ_MIN_MATCH);
+            while j < seed_end {
+                table[lz_hash(&src[j..])] = j;
+                j += 2;
+            }
+            i += len;
+            lit_start = i;
+        }
+        // The trailing literal run decides the escape arithmetically:
+        // an incompressible chunk is never copied just to be dropped.
+        if dst.len() - start + literal_cost(src.len() - lit_start) >= budget {
+            return false;
         }
         flush_literals(dst, lit_start, src.len());
-        dst.len() - start < budget
+        true
     }
 
     fn decode(&self, src: &[u8], logical_len: usize, dst: &mut Vec<u8>) -> io::Result<()> {
@@ -454,17 +488,22 @@ mod tests {
 
     #[test]
     fn incompressible_data_escapes_to_raw() {
-        // High-entropy bytes: both codecs must decline and store raw.
-        let mut data = vec![0u8; 4096];
+        // High-entropy bytes: both codecs must decline and store raw,
+        // for a small payload and for a full 4 MiB chunk of splitmix64
+        // (the content of the benchmark's BLCR images).
+        let mut small = vec![0u8; 4096];
         let mut x = 0x12345u64;
-        for b in data.iter_mut() {
+        for b in small.iter_mut() {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             *b = (x >> 33) as u8;
         }
-        for kind in [CodecKind::Rle, CodecKind::Lz] {
-            let (id, n) = roundtrip(kind, &data);
-            assert_eq!(id, STORED_RAW, "{kind:?} must escape");
-            assert_eq!(n, data.len());
+        for data in [small, splitmix_bytes(4 << 20, 0xC4F5)] {
+            for kind in [CodecKind::Rle, CodecKind::Lz] {
+                let mut enc = Vec::new();
+                let id = encode_payload(kind, &data, &mut enc);
+                assert_eq!(id, STORED_RAW, "{kind:?} must escape");
+                assert!(enc == data, "{kind:?} escape stores the raw bytes");
+            }
         }
     }
 
@@ -515,6 +554,66 @@ mod tests {
         // Unknown codec id.
         let mut dst = Vec::new();
         assert!(decode_payload(9, b"xx", 2, &mut dst).is_err());
+    }
+
+    /// splitmix64 output: incompressible, the worst case for LZ.
+    fn splitmix_bytes(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// The skip step resets on a match: a compressible region after a
+    /// long incompressible one is still found and compressed.
+    #[test]
+    fn lz_compresses_tail_after_incompressible_prefix() {
+        let prefix = 1 << 20;
+        let mut data = splitmix_bytes(prefix, 0xF00D);
+        data.extend_from_slice(&mixed_payload(1 << 20, 3));
+        let (id, n) = roundtrip(CodecKind::Lz, &data);
+        assert_eq!(id, STORED_LZ);
+        let tail = n - literal_cost(prefix);
+        let alone = roundtrip(CodecKind::Lz, &data[prefix..]).1;
+        assert!(
+            tail <= alone + alone / 10,
+            "tail after random prefix: {tail} B vs {alone} B encoded alone"
+        );
+    }
+
+    /// The escape decision for the trailing literal run is arithmetic;
+    /// it must agree with flushing at the exact boundary. Input: 132
+    /// zeros (one 1-byte literal + one 131-byte match = 5 bytes) then
+    /// `tail` random bytes, so the flushed size is
+    /// `5 + tail + ceil(tail / 128)` against a budget of `132 + tail`.
+    #[test]
+    fn lz_final_literal_escape_is_exact_at_budget() {
+        let input = |tail: usize| {
+            let mut v = vec![0u8; 132];
+            let mut t = splitmix_bytes(tail, 0xB0D6E7);
+            t[0] |= 1; // the zero run's match ends at the boundary
+            v.extend_from_slice(&t);
+            v
+        };
+        // ceil(16200 / 128) = 127: flushing lands exactly at budget.
+        let at = input(16_200);
+        let mut enc = Vec::new();
+        assert!(!Lz.encode(&at, &mut enc), "== budget must escape");
+        assert_eq!(encode_payload(CodecKind::Lz, &at, &mut enc), STORED_RAW);
+        // ceil(16100 / 128) = 126: one byte under budget compresses.
+        let under = input(16_100);
+        let mut enc = Vec::new();
+        assert!(Lz.encode(&under, &mut enc), "budget - 1 must compress");
+        assert_eq!(enc.len(), under.len() - 1);
+        let (id, n) = roundtrip(CodecKind::Lz, &under);
+        assert_eq!((id, n), (STORED_LZ, under.len() - 1));
     }
 
     #[test]

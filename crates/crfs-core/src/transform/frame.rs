@@ -106,12 +106,7 @@ impl FrameHeader {
 /// multiply per byte), dependency-free, and plenty for corruption
 /// *detection* (the adversary here is bit rot, not an attacker).
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    hash_pass::<false>(data).0
 }
 
 /// 128-bit content hash for the dedup index: two independent 64-bit
@@ -122,25 +117,57 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 /// carries the original chunk's `payload_check`, which is verified
 /// against the resolved bytes on every read.
 pub fn content_hash128(data: &[u8]) -> u128 {
-    let lane_a = fnv1a64(data);
-    // Word-at-a-time mix lane.
+    payload_hashes(data).1
+}
+
+/// Both persisted hashes of a chunk from one pass over its bytes:
+/// `(fnv1a64(data), content_hash128(data))`. The write path needs the
+/// frame checksum and the dedup key of every fresh chunk; the key's
+/// first lane *is* the checksum, so hashing twice would run the serial
+/// FNV multiply chain twice.
+pub fn payload_hashes(data: &[u8]) -> (u64, u128) {
+    let (fnv, mix) = hash_pass::<true>(data);
+    (fnv, ((fnv as u128) << 64) | mix as u128)
+}
+
+/// The one hashing loop behind [`fnv1a64`], [`content_hash128`] and
+/// [`payload_hashes`]: FNV-1a byte by byte and, when `MIX`, the
+/// word-wise mix lane in the same loop. The two dependency chains are
+/// independent, so the mix lane rides in the FNV chain's multiply
+/// latency almost for free. Returns `(fnv, finalized mix)`; the mix
+/// lane is 0 when `MIX` is false.
+#[inline(always)]
+fn hash_pass<const MIX: bool>(data: &[u8]) -> (u64, u64) {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     const P1: u64 = 0x9E37_79B1_85EB_CA87;
     const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    let mut h: u64 = P2 ^ (data.len() as u64);
-    let mut chunks = data.chunks_exact(8);
-    for w in &mut chunks {
-        let v = u64::from_le_bytes(w.try_into().unwrap());
-        h = (h ^ v.wrapping_mul(P1)).rotate_left(27).wrapping_mul(P2);
+    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix: u64 = P2 ^ (data.len() as u64);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        for &b in w {
+            fnv = (fnv ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        if MIX {
+            let v = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            mix = (mix ^ v.wrapping_mul(P1)).rotate_left(27).wrapping_mul(P2);
+        }
     }
-    for &b in chunks.remainder() {
-        h = (h ^ (b as u64).wrapping_mul(P1))
-            .rotate_left(11)
-            .wrapping_mul(P2);
+    for &b in words.remainder() {
+        fnv = (fnv ^ b as u64).wrapping_mul(FNV_PRIME);
+        if MIX {
+            mix = (mix ^ (b as u64).wrapping_mul(P1))
+                .rotate_left(11)
+                .wrapping_mul(P2);
+        }
     }
-    h ^= h >> 29;
-    h = h.wrapping_mul(P1);
-    h ^= h >> 32;
-    ((lane_a as u128) << 64) | h as u128
+    if !MIX {
+        return (fnv, 0);
+    }
+    mix ^= mix >> 29;
+    mix = mix.wrapping_mul(P1);
+    mix ^= mix >> 32;
+    (fnv, mix)
 }
 
 fn corrupt(msg: &str) -> io::Error {
@@ -195,5 +222,71 @@ mod tests {
         // Length is part of the mix lane: a zero-run prefix differs
         // from a shorter zero run.
         assert_ne!(content_hash128(&[0; 16]), content_hash128(&[0; 17]));
+    }
+
+    /// The byte-at-a-time FNV-1a and the separate two-lane hash as
+    /// first shipped: the oracle the one-pass loop must reproduce bit
+    /// for bit. Both values are persisted (frame headers, CAS paths,
+    /// manifests), so any drift would break dedup across remounts and
+    /// GC reachability.
+    fn oracle_fnv(data: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in data {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    fn oracle_hash128(data: &[u8]) -> u128 {
+        const P1: u64 = 0x9E37_79B1_85EB_CA87;
+        const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+        let mut h: u64 = P2 ^ (data.len() as u64);
+        let mut chunks = data.chunks_exact(8);
+        for w in &mut chunks {
+            let v = u64::from_le_bytes(w.try_into().unwrap());
+            h = (h ^ v.wrapping_mul(P1)).rotate_left(27).wrapping_mul(P2);
+        }
+        for &b in chunks.remainder() {
+            h = (h ^ (b as u64).wrapping_mul(P1))
+                .rotate_left(11)
+                .wrapping_mul(P2);
+        }
+        h ^= h >> 29;
+        h = h.wrapping_mul(P1);
+        h ^= h >> 32;
+        ((oracle_fnv(data) as u128) << 64) | h as u128
+    }
+
+    fn assert_matches_oracle(data: &[u8]) {
+        let want = (oracle_fnv(data), oracle_hash128(data));
+        assert_eq!(payload_hashes(data), want, "len {}", data.len());
+        assert_eq!(fnv1a64(data), want.0, "len {}", data.len());
+        assert_eq!(content_hash128(data), want.1, "len {}", data.len());
+    }
+
+    #[test]
+    fn one_pass_hashes_match_oracle_at_every_remainder() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=bytes.len() {
+            assert_matches_oracle(&bytes[..len]);
+        }
+        // One full 4 MiB chunk.
+        let big: Vec<u8> = (0..4u64 << 20)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        assert_matches_oracle(&big);
+    }
+
+    /// Golden values for one fixed input (1003 bytes: 125 words plus a
+    /// 3-byte remainder), pinned independently of the oracle.
+    #[test]
+    fn hash_golden_values() {
+        const CHECK: u64 = 0x9118_d1ce_3afc_f61a;
+        const KEY: u128 = 0x9118_d1ce_3afc_f61a_c40d_74e5_8fa6_83a0;
+        let input: Vec<u8> = (0..1003u32).map(|i| ((i * 131 + 17) % 251) as u8).collect();
+        assert_eq!(payload_hashes(&input), (CHECK, KEY));
+        assert_eq!(fnv1a64(&input), CHECK);
+        assert_eq!(content_hash128(&input), KEY);
     }
 }

@@ -82,7 +82,7 @@ use crate::snapshot::{cas_path, manifest::ChunkRecord, ChunkKey, InflightGuard, 
 use crate::stats::CrfsStats;
 use codec::{decode_payload, encode_payload, STORED_RAW};
 use frame::{
-    content_hash128, fnv1a64, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN,
+    fnv1a64, payload_hashes, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN,
     FRAME_MAGIC,
 };
 
@@ -615,15 +615,19 @@ impl FileTransform {
         let stats = &self.ctx.stats;
         let t0 = Instant::now();
         stats.bytes_logical.fetch_add(payload.len() as u64, Relaxed);
-        let check = fnv1a64(payload);
+        let dedup = self.ctx.dedup.as_ref();
+        // Dedup mounts need the content key too: one pass yields both.
+        let (check, hash) = match dedup {
+            Some(_) => payload_hashes(payload),
+            None => (fnv1a64(payload), 0),
+        };
 
         let mut frame = vec![0u8; FRAME_HEADER_LEN as usize];
         let mut dedup_key = None;
         let mut snap_rec = None;
         let mut inflight = None;
-        let (codec, flags) = match self.ctx.dedup.as_ref() {
+        let (codec, flags) = match dedup {
             Some(index) => {
-                let hash = content_hash128(payload);
                 let len = payload.len() as u32;
                 // Snapshot mounts register the key as in-flight *before*
                 // the lookup: GC marks in-flight keys under the same

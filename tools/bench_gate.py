@@ -5,10 +5,13 @@ Usage:
     bench_gate.py FILE CHECK [CHECK ...]
 
 FILE is a bench artifact (e.g. BENCH_compress.json) whose top-level
-"headline" object holds the numbers the experiment is gated on. Each
-CHECK is `key OP value` written without spaces, e.g.:
+"headline" object holds the numbers the experiment is gated on. A file
+without a "headline" object is gated on its top-level keys instead,
+so an e2ebench result line (the last stdout line of a run) works
+as-is. Each CHECK is `key OP value` written without spaces, e.g.:
 
     bench_gate.py BENCH_engine.json 'scaling>1.0' 'verify_ok==true'
+    bench_gate.py e2e_result.json 'correct==true' 'failed==0'
 
 Supported OPs: ==  !=  <=  >=  <  >. Values are parsed as JSON, so
 booleans (`true`), integers, and floats all work. Keys may be dotted
@@ -75,9 +78,12 @@ def main(argv):
     path, checks = argv[1], argv[2:]
     try:
         with open(path) as f:
-            head = json.load(f)["headline"]
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"bench_gate: cannot read headline from {path}: {e}")
+    head = doc.get("headline", doc) if isinstance(doc, dict) else None
+    if not isinstance(head, dict):
+        sys.exit(f"bench_gate: no headline object in {path}")
 
     print(f"{path} headline:")
     for key, value in flat_items(head):
