@@ -8,18 +8,31 @@
 //! [`TieredBackend`] composes any two [`Backend`]s into that shape:
 //!
 //! - **Writes** land in the fast tier and ack as soon as it does. Each
-//!   acknowledged range becomes a *drain op* in a FIFO queue.
-//! - **The drain pump** copies queued ranges to the durable tier. It is
-//!   not a thread pool: the pump runs on whatever thread is already
-//!   making progress — the writer that enqueued the op, the durable
-//!   tier's own completion thread (an async-capable durable tier like
-//!   `RpcStore` re-enters the pump from its ack timer), or a caller
+//!   acknowledged range becomes a *drain op*: a fast→durable copy that
+//!   the next barrier waits for.
+//! - **At-ack copy**: once the durable tier is known to complete writes
+//!   asynchronously (`RpcStore`), the write that acks a range also hands
+//!   the caller's buffer — the engine's sealed chunk — straight to the
+//!   file's cached durable handle through `begin_write_at`, which
+//!   consumes it before returning. The range is reserved in flight
+//!   *before* the fast write, so no other copy of an overlapping range
+//!   can be in flight or queued alongside it. The copy retires on the
+//!   durable tier's completion thread; no byte is read back.
+//! - **Deferred drain**: every other op — a sync durable tier
+//!   (Throttled, Local, Mem), a capability not yet learned, a range
+//!   overlapping an in-flight or queued op on its file, or a full
+//!   `drain_window` — goes to a FIFO queue. The drain pump copies queued
+//!   ranges to the durable tier. It is not a thread pool: the pump runs
+//!   on whatever thread is already making progress — the writer that
+//!   enqueued the op, the durable tier's completion thread, or a caller
 //!   blocked in [`drain_barrier`](Backend::drain_barrier). A CAS guard
 //!   keeps exactly one pumper active; `drain_window` bounds the copies
-//!   in flight. An op re-reads the fast tier at issue time, so
-//!   re-written ranges always drain the newest bytes, and two ops with
-//!   overlapping ranges on one file are never in flight together (the
-//!   only order that could leave the durable tier stale).
+//!   in flight, at-ack and deferred together. A deferred op re-reads
+//!   the fast tier at issue time, so re-written ranges always drain the
+//!   newest bytes, and two ops with overlapping ranges on one file are
+//!   never in flight together (the only order that could leave the
+//!   durable tier stale). The pump's first `begin_write_at` is how the
+//!   stack learns whether the durable tier is async.
 //! - **Watermark backpressure**: when undrained resident bytes reach
 //!   `watermark_hi` the backend degrades to write-through — writes go
 //!   to both tiers synchronously and ack at durable-tier speed — until
@@ -50,7 +63,7 @@
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -148,7 +161,7 @@ impl TierCounters {
     }
 }
 
-/// One queued fast→durable copy. The payload is *not* captured here:
+/// One deferred fast→durable copy. The payload is *not* captured here:
 /// the pump re-reads the fast tier at issue time, so the newest bytes
 /// for the range always win.
 struct DrainOp {
@@ -189,23 +202,53 @@ struct Queue {
 }
 
 impl Queue {
-    fn issuable(&mut self, window: usize) -> Option<DrainOp> {
+    fn inflight_overlaps(&self, path: &str, offset: u64, len: u64) -> bool {
+        self.inflight
+            .get(path)
+            .is_some_and(|rs| rs.iter().any(|&(o, l)| overlaps(o, l, offset, len)))
+    }
+
+    fn reserve(&mut self, path: &str, offset: u64, len: u64) {
+        self.inflight
+            .entry(path.to_string())
+            .or_default()
+            .push((offset, len));
+        self.inflight_total += 1;
+    }
+
+    /// Index of the first queued op that may be issued now.
+    fn next_issuable(&self, window: usize) -> Option<usize> {
         if self.inflight_total >= window {
             return None;
         }
-        let idx = (0..self.ops.len()).find(|&i| {
-            let op = &self.ops[i];
-            self.inflight
-                .get(&op.path)
-                .is_none_or(|rs| !rs.iter().any(|&(o, l)| overlaps(o, l, op.offset, op.len)))
-        })?;
+        self.ops
+            .iter()
+            .position(|op| !self.inflight_overlaps(&op.path, op.offset, op.len))
+    }
+
+    fn issuable(&mut self, window: usize) -> Option<DrainOp> {
+        let idx = self.next_issuable(window)?;
         let op = self.ops.remove(idx).expect("index in range");
-        self.inflight
-            .entry(op.path.clone())
-            .or_default()
-            .push((op.offset, op.len));
-        self.inflight_total += 1;
+        self.reserve(&op.path, op.offset, op.len);
         Some(op)
+    }
+
+    /// Reserves `[offset, offset+len)` for an at-ack copy: only with
+    /// window room and no in-flight *or queued* op on `path` overlapping
+    /// the range. A queued op would re-read bytes this copy may still
+    /// be overwriting, and must keep its place ahead of it.
+    fn try_reserve(&mut self, window: usize, path: &str, offset: u64, len: u64) -> bool {
+        if self.inflight_total >= window
+            || self.inflight_overlaps(path, offset, len)
+            || self
+                .ops
+                .iter()
+                .any(|op| op.path == path && overlaps(op.offset, op.len, offset, len))
+        {
+            return false;
+        }
+        self.reserve(path, offset, len);
+        true
     }
 
     fn retire(&mut self, path: &str, offset: u64, len: u64) {
@@ -246,7 +289,22 @@ enum Outcome {
     Copied,
     Dropped,
     Failed,
+    /// An at-ack reservation whose fast write failed: nothing was
+    /// acknowledged, so there is nothing to drain or count.
+    Unacked,
 }
+
+/// What the durable tier's `begin_write_at` last answered; see
+/// [`Shared::durable_async`]. `CAP_PROBING`: unknown, and one deferred
+/// op is on its way to asking.
+const CAP_UNKNOWN: u8 = 0;
+const CAP_PROBING: u8 = 1;
+const CAP_SYNC: u8 = 2;
+const CAP_ASYNC: u8 = 3;
+
+/// How long a write waits for the probing op's answer before it gives
+/// up and defers.
+const PROBE_WAIT: Duration = Duration::from_millis(20);
 
 struct Shared {
     fast: Arc<dyn Backend>,
@@ -260,6 +318,12 @@ struct Shared {
     write_through: AtomicBool,
     /// Single-pumper CAS guard.
     pumping: AtomicBool,
+    /// Whether the durable tier completes writes asynchronously
+    /// (`CAP_*`), as its last `begin_write_at` answered. Writes copy at
+    /// ack time only once it is `CAP_ASYNC`. The first write on a fresh
+    /// stack is deferred and its drain copy asks; see
+    /// [`Shared::durable_is_async`].
+    durable_async: AtomicU8,
     /// Drain copies that failed since the last barrier; a non-zero
     /// count fails the barrier instead of claiming durability.
     failed_since_barrier: AtomicU64,
@@ -281,11 +345,88 @@ impl Shared {
         self.stats().and_then(|s| s.stages.timer())
     }
 
-    fn enqueue(self: &Arc<Self>, path: &str, offset: u64, len: usize) {
-        let now = self.resident.fetch_add(len as u64, Relaxed) + len as u64;
+    /// Counts `len` acknowledged bytes as resident until drained, and
+    /// trips write-through at the high watermark.
+    fn add_resident(&self, len: u64) {
+        let now = self.resident.fetch_add(len, Relaxed) + len;
         if now >= self.params.watermark_hi {
             self.write_through.store(true, Relaxed);
         }
+    }
+
+    /// Reserves an at-ack copy of `[offset, offset+len)` on `path`, if
+    /// the durable tier is known async and the range can go in flight
+    /// now (see [`Queue::try_reserve`]). On `true` the caller owns one
+    /// drain op: it must retire it through [`Shared::copy`] or
+    /// [`Shared::complete_op`].
+    fn reserve_at_ack(&self, path: &str, offset: u64, len: u64) -> bool {
+        if !self.durable_is_async()
+            || !self
+                .queue
+                .lock()
+                .try_reserve(self.params.drain_window, path, offset, len)
+        {
+            return false;
+        }
+        self.add_resident(len);
+        true
+    }
+
+    /// Whether a write about to ack may copy at ack time. While the
+    /// capability is unknown, the first caller claims the probe and
+    /// returns `false` (its op is deferred, and the pump's copy of it
+    /// asks the durable tier); callers racing the probe wait up to
+    /// [`PROBE_WAIT`] for the answer instead of deferring too — on a
+    /// fresh stack the probe is a few milliseconds, long enough for
+    /// every IO worker to seal a chunk.
+    fn durable_is_async(&self) -> bool {
+        let deadline = Instant::now() + PROBE_WAIT;
+        loop {
+            match self.durable_async.load(Relaxed) {
+                CAP_ASYNC => return true,
+                CAP_SYNC => return false,
+                CAP_UNKNOWN => {
+                    if self
+                        .durable_async
+                        .compare_exchange(CAP_UNKNOWN, CAP_PROBING, Relaxed, Relaxed)
+                        .is_ok()
+                    {
+                        return false;
+                    }
+                }
+                _ => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    let mut q = self.queue.lock();
+                    if self.durable_async.load(Relaxed) == CAP_PROBING
+                        && (left.is_zero() || self.cv.wait_for(&mut q, left))
+                    {
+                        return false;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Records the durable tier's answer — `Some(async)` — or, for an
+    /// op that retired without asking, `None`: a pending probe is then
+    /// released for the next write to claim.
+    fn learn(&self, answer: Option<bool>) {
+        let prev = match answer {
+            Some(true) => self.durable_async.swap(CAP_ASYNC, Relaxed),
+            Some(false) => self.durable_async.swap(CAP_SYNC, Relaxed),
+            None => self
+                .durable_async
+                .compare_exchange(CAP_PROBING, CAP_UNKNOWN, Relaxed, Relaxed)
+                .unwrap_or(CAP_UNKNOWN),
+        };
+        if prev == CAP_PROBING {
+            let _q = self.queue.lock();
+            self.cv.notify_all();
+        }
+    }
+
+    fn enqueue(self: &Arc<Self>, path: &str, offset: u64, len: usize) {
+        self.add_resident(len as u64);
         self.queue.lock().ops.push_back(DrainOp {
             path: path.to_string(),
             offset,
@@ -294,10 +435,12 @@ impl Shared {
         self.pump();
     }
 
-    /// Issues queued drain ops until the window is full or the queue is
-    /// empty. Exactly one thread pumps at a time; everyone else returns
-    /// immediately, and the post-release re-check closes the window
-    /// where an op is enqueued between "queue empty" and the flag store.
+    /// Issues queued drain ops until none can go in flight. Exactly one
+    /// thread pumps at a time; everyone else returns immediately, and
+    /// the post-release re-check closes the window where an op becomes
+    /// issuable between "none issuable" and the flag store. An op held
+    /// back by an overlapping in-flight copy is not issuable: that
+    /// copy's completion pumps again.
     fn pump(self: &Arc<Self>) {
         loop {
             if self.pumping.swap(true, Relaxed) {
@@ -314,10 +457,11 @@ impl Shared {
                 self.issue(op);
             }
             self.pumping.store(false, Relaxed);
-            let again = {
-                let q = self.queue.lock();
-                q.inflight_total < self.params.drain_window && !q.ops.is_empty()
-            };
+            let again = self
+                .queue
+                .lock()
+                .next_issuable(self.params.drain_window)
+                .is_some();
             if !again {
                 return;
             }
@@ -361,54 +505,70 @@ impl Shared {
         )
     }
 
+    /// Issues one deferred op: re-reads its range from the fast tier,
+    /// then copies it. The durable file is opened only once the source
+    /// bytes are in hand, so a dropped or failed re-read never creates
+    /// it.
     fn issue(self: &Arc<Self>, op: DrainOp) {
         let t0 = self.stage_timer();
-        let data = match self.read_fast(&op) {
-            Ok(Some(data)) => data,
-            Ok(None) => {
-                self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Dropped);
-                return;
-            }
-            Err(_) => {
-                self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Failed);
-                return;
-            }
+        let outcome = match self.read_fast(&op) {
+            Ok(Some(data)) => match self.open_durable(&op.path) {
+                Ok(dfile) => {
+                    self.copy(Arc::from(dfile), &op.path, op.offset, &data, t0);
+                    return;
+                }
+                Err(_) => Outcome::Failed,
+            },
+            Ok(None) => Outcome::Dropped,
+            Err(_) => Outcome::Failed,
         };
-        let dfile = match self.open_durable(&op.path) {
-            Ok(f) => f,
-            Err(_) => {
-                self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Failed);
-                return;
-            }
-        };
-        self.dirty.lock().insert(op.path.clone());
+        self.learn(None);
+        self.complete_op(&op.path, op.offset, op.len, t0, outcome);
+    }
+
+    /// Copies `data` — one reserved drain op's bytes — to `dfile` at
+    /// `offset`, and retires the op when the durable tier has them: on
+    /// its completion thread if it took the asynchronous path, here
+    /// otherwise. Records which path the durable tier took, which is
+    /// what lets later writes copy at ack time. A completion delivered
+    /// inside `begin_write_at` (`ThrottledBackend` charges the device
+    /// time, then acks inline) counts as sync: an at-ack copy there
+    /// would hold the writer for the durable write.
+    fn copy(
+        self: &Arc<Self>,
+        dfile: Arc<dyn BackendFile>,
+        path: &str,
+        offset: u64,
+        data: &[u8],
+        t0: Option<Instant>,
+    ) {
+        let len = data.len() as u64;
+        self.dirty.lock().insert(path.to_string());
         let token = self.next_token.fetch_add(1, Relaxed);
         let sink = Arc::new(DrainSink {
             shared: Arc::clone(self),
-            path: op.path.clone(),
-            offset: op.offset,
-            len: op.len,
+            path: path.to_string(),
+            offset,
+            len,
             t0,
-            file: Mutex::new(None),
+            acked: AtomicBool::new(false),
+            _file: Arc::clone(&dfile),
         });
         let dyn_sink: Arc<dyn CompletionSink> = Arc::clone(&sink) as Arc<dyn CompletionSink>;
-        match dfile.begin_write_at(token, op.offset, &data, &dyn_sink) {
-            Ok(true) => {
-                // Keep the durable handle alive until the completion has
-                // fired; the sink (and with it the handle) is released
-                // when the durable tier drops its reference.
-                *sink.file.lock() = Some(dfile);
-            }
+        match dfile.begin_write_at(token, offset, data, &dyn_sink) {
+            Ok(true) => self.learn(Some(!sink.acked.load(Relaxed))),
             Ok(false) => {
-                let res = dfile.write_at(op.offset, &data);
-                let outcome = if res.is_ok() {
-                    Outcome::Copied
-                } else {
-                    Outcome::Failed
+                self.learn(Some(false));
+                let outcome = match dfile.write_at(offset, data) {
+                    Ok(()) => Outcome::Copied,
+                    Err(_) => Outcome::Failed,
                 };
-                self.complete_op(&op.path, op.offset, op.len, t0, outcome);
+                self.complete_op(path, offset, len, t0, outcome);
             }
-            Err(_) => self.complete_op(&op.path, op.offset, op.len, t0, Outcome::Failed),
+            Err(_) => {
+                self.learn(None);
+                self.complete_op(path, offset, len, t0, Outcome::Failed);
+            }
         }
     }
 
@@ -451,6 +611,7 @@ impl Shared {
                         .record(EventKind::WriteFailed, Some(path), offset, len);
                 }
             }
+            Outcome::Unacked => {}
         }
         {
             let mut q = self.queue.lock();
@@ -569,18 +730,14 @@ impl Shared {
     /// Waits out in-flight drain copies overlapping `[offset,
     /// offset+len)` on `path`. The write-through path calls this after
     /// its fast write and before its direct durable write: an in-flight
-    /// copy read its bytes *before* this write and could otherwise land
-    /// on the durable tier after the newer direct write, leaving it
+    /// copy holds bytes from *before* this write and could otherwise
+    /// land on the durable tier after the newer direct write, leaving it
     /// stale past a successful barrier. Queued-but-unissued ops are
     /// safe — they re-read the fast tier (which already holds the new
     /// bytes) at issue time.
     fn wait_range(self: &Arc<Self>, path: &str, offset: u64, len: u64) {
         let mut q = self.queue.lock();
-        while q
-            .inflight
-            .get(path)
-            .is_some_and(|rs| rs.iter().any(|&(o, l)| overlaps(o, l, offset, len)))
-        {
+        while q.inflight_overlaps(path, offset, len) {
             self.cv.wait_for(&mut q, Duration::from_millis(20));
         }
     }
@@ -647,12 +804,18 @@ struct DrainSink {
     offset: u64,
     len: u64,
     t0: Option<Instant>,
+    /// Set once the completion fired; read back by [`Shared::copy`]
+    /// right after `begin_write_at` returns. `Relaxed` suffices: an
+    /// inline completion ran on that same thread, and a completion on
+    /// another thread that is not seen yet is rightly taken as async.
+    acked: AtomicBool,
     /// Keeps the durable file handle alive until the ack fires.
-    file: Mutex<Option<Box<dyn BackendFile>>>,
+    _file: Arc<dyn BackendFile>,
 }
 
 impl CompletionSink for DrainSink {
     fn complete(&self, _token: u64, result: io::Result<()>) {
+        self.acked.store(true, Relaxed);
         let outcome = if result.is_ok() {
             Outcome::Copied
         } else {
@@ -711,6 +874,7 @@ impl TieredBackend {
                 resident: AtomicU64::new(0),
                 write_through: AtomicBool::new(false),
                 pumping: AtomicBool::new(false),
+                durable_async: AtomicU8::new(CAP_UNKNOWN),
                 failed_since_barrier: AtomicU64::new(0),
                 dirty: Mutex::new(BTreeSet::new()),
                 writers: Mutex::new(HashMap::new()),
@@ -893,7 +1057,7 @@ impl Backend for TieredBackend {
                     path,
                     shared: Arc::clone(&self.shared),
                     fast: None,
-                    durable: Mutex::new(Some(durable)),
+                    durable: Mutex::new(Some(Arc::from(durable))),
                     writer: false,
                 }))
             }
@@ -1039,8 +1203,10 @@ struct TieredFile {
     path: String,
     shared: Arc<Shared>,
     fast: Option<Box<dyn BackendFile>>,
-    /// Lazily-opened durable handle for the write-through path.
-    durable: Mutex<Option<Box<dyn BackendFile>>>,
+    /// Lazily-opened durable handle, shared by at-ack copies,
+    /// write-through and `set_len`; each in-flight copy's sink holds a
+    /// clone until its ack.
+    durable: Mutex<Option<Arc<dyn BackendFile>>>,
     writer: bool,
 }
 
@@ -1054,12 +1220,14 @@ impl TieredFile {
         })
     }
 
-    fn with_durable<R>(&self, f: impl FnOnce(&dyn BackendFile) -> io::Result<R>) -> io::Result<R> {
+    fn durable_handle(&self) -> io::Result<Arc<dyn BackendFile>> {
         let mut guard = self.durable.lock();
-        if guard.is_none() {
-            *guard = Some(self.shared.open_durable(&self.path)?);
+        if let Some(d) = guard.as_ref() {
+            return Ok(Arc::clone(d));
         }
-        f(guard.as_deref().expect("just opened"))
+        let d: Arc<dyn BackendFile> = Arc::from(self.shared.open_durable(&self.path)?);
+        *guard = Some(Arc::clone(&d));
+        Ok(d)
     }
 }
 
@@ -1079,14 +1247,32 @@ impl BackendFile for TieredFile {
             fast.write_at(offset, data)?;
             self.shared
                 .wait_range(&self.path, offset, data.len() as u64);
-            self.with_durable(|d| d.write_at(offset, data))?;
+            self.durable_handle()?.write_at(offset, data)?;
             self.shared.dirty.lock().insert(self.path.clone());
-            Ok(())
-        } else {
+            return Ok(());
+        }
+        let len = data.len() as u64;
+        if !self.shared.reserve_at_ack(&self.path, offset, len) {
             fast.write_at(offset, data)?;
             self.shared.enqueue(&self.path, offset, data.len());
-            Ok(())
+            return Ok(());
         }
+        // At-ack copy: the range was reserved before the fast write, so
+        // any overlapping write racing this one is deferred and re-reads
+        // the fast tier after this copy retires.
+        if let Err(e) = fast.write_at(offset, data) {
+            self.shared
+                .complete_op(&self.path, offset, len, None, Outcome::Unacked);
+            return Err(e);
+        }
+        let t0 = self.shared.stage_timer();
+        match self.durable_handle() {
+            Ok(d) => self.shared.copy(d, &self.path, offset, data, t0),
+            Err(_) => self
+                .shared
+                .complete_op(&self.path, offset, len, t0, Outcome::Failed),
+        }
+        Ok(())
     }
 
     fn begin_write_at(
@@ -1117,7 +1303,7 @@ impl BackendFile for TieredFile {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
         match &self.fast {
             Some(f) => f.read_at(offset, buf),
-            None => self.with_durable(|d| d.read_at(offset, buf)),
+            None => self.durable_handle()?.read_at(offset, buf),
         }
     }
 
@@ -1127,7 +1313,8 @@ impl BackendFile for TieredFile {
         if let Some(f) = &self.fast {
             f.sync()?;
         }
-        if let Some(d) = self.durable.lock().as_deref() {
+        let durable = self.durable.lock().clone();
+        if let Some(d) = durable {
             d.sync()?;
         }
         Ok(())
@@ -1136,7 +1323,7 @@ impl BackendFile for TieredFile {
     fn len(&self) -> io::Result<u64> {
         match &self.fast {
             Some(f) => f.len(),
-            None => self.with_durable(|d| d.len()),
+            None => self.durable_handle()?.len(),
         }
     }
 
@@ -1152,7 +1339,7 @@ impl BackendFile for TieredFile {
         // if no drain has reached it yet): a grown file's zero tail is
         // never written, so only set_len can make the durable length
         // match what a durable-only restart expects.
-        self.with_durable(|d| d.set_len(len))?;
+        self.durable_handle()?.set_len(len)?;
         self.shared.dirty.lock().insert(self.path.clone());
         Ok(())
     }
@@ -1169,7 +1356,9 @@ impl Drop for TieredFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FailureMode, FaultyBackend, MemBackend};
+    use crate::backend::{
+        FailureMode, FaultyBackend, MemBackend, ThrottleParams, ThrottledBackend,
+    };
 
     fn mems() -> (Arc<MemBackend>, Arc<MemBackend>) {
         (Arc::new(MemBackend::new()), Arc::new(MemBackend::new()))
@@ -1599,5 +1788,298 @@ mod tests {
         tmp.write_at(0, b"junk").unwrap();
         drop(tmp);
         assert_eq!(be.list_dir("/").unwrap(), vec!["data"]);
+    }
+
+    /// Per-tier state of a [`Gate`], shared with its open files.
+    #[derive(Default)]
+    struct GateState {
+        /// Accepted async writes whose ack the test has not released.
+        pending: Mutex<Vec<(u64, Arc<dyn CompletionSink>)>>,
+        /// Once set, async writes ack inline instead of waiting.
+        open: AtomicBool,
+        opens: AtomicU64,
+        reads: AtomicU64,
+    }
+
+    /// A `MemBackend` tier that counts opens and reads. With
+    /// `async_acks` every write takes the asynchronous path: its bytes
+    /// land at once, its ack waits until the test releases it.
+    struct Gate {
+        inner: MemBackend,
+        async_acks: bool,
+        st: Arc<GateState>,
+    }
+
+    impl Gate {
+        fn new(async_acks: bool) -> Arc<Gate> {
+            Arc::new(Gate {
+                inner: MemBackend::new(),
+                async_acks,
+                st: Arc::default(),
+            })
+        }
+
+        fn release(&self) {
+            loop {
+                let acks = std::mem::take(&mut *self.st.pending.lock());
+                if acks.is_empty() {
+                    return;
+                }
+                for (token, sink) in acks {
+                    sink.complete(token, Ok(()));
+                }
+            }
+        }
+
+        fn open_gate(&self) {
+            self.st.open.store(true, Relaxed);
+            self.release();
+        }
+
+        fn pending(&self) -> usize {
+            self.st.pending.lock().len()
+        }
+
+        fn opens(&self) -> u64 {
+            self.st.opens.load(Relaxed)
+        }
+
+        fn reads(&self) -> u64 {
+            self.st.reads.load(Relaxed)
+        }
+    }
+
+    impl Backend for Gate {
+        fn name(&self) -> &str {
+            "gate"
+        }
+
+        fn open(&self, path: &str, opts: OpenOptions) -> io::Result<Box<dyn BackendFile>> {
+            self.st.opens.fetch_add(1, Relaxed);
+            Ok(Box::new(GateFile {
+                inner: self.inner.open(path, opts)?,
+                async_acks: self.async_acks,
+                st: Arc::clone(&self.st),
+            }))
+        }
+
+        crate::forward_backend_ops!(inner: mkdir, rmdir, unlink, rename, exists,
+            file_len, list_dir);
+    }
+
+    struct GateFile {
+        inner: Box<dyn BackendFile>,
+        async_acks: bool,
+        st: Arc<GateState>,
+    }
+
+    impl BackendFile for GateFile {
+        fn begin_write_at(
+            &self,
+            token: u64,
+            offset: u64,
+            data: &[u8],
+            sink: &Arc<dyn CompletionSink>,
+        ) -> io::Result<bool> {
+            if !self.async_acks {
+                return Ok(false);
+            }
+            self.inner.write_at(offset, data)?;
+            if self.st.open.load(Relaxed) {
+                sink.complete(token, Ok(()));
+            } else {
+                self.st.pending.lock().push((token, Arc::clone(sink)));
+            }
+            Ok(true)
+        }
+
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+            self.st.reads.fetch_add(1, Relaxed);
+            self.inner.read_at(offset, buf)
+        }
+
+        crate::forward_file_ops!(inner: write_at, sync, len, set_len, is_empty);
+    }
+
+    /// A counting sync fast tier over a gated async durable tier.
+    fn gated(params: TieredParams) -> (TieredBackend, Arc<Gate>, Arc<Gate>) {
+        let (fast, durable) = (Gate::new(false), Gate::new(true));
+        let be = TieredBackend::new(
+            Arc::clone(&fast) as Arc<dyn Backend>,
+            Arc::clone(&durable) as Arc<dyn Backend>,
+            params,
+        );
+        (be, fast, durable)
+    }
+
+    /// The first write of a fresh stack is deferred; its drain copy
+    /// teaches the stack that the durable tier is async.
+    fn learn_async(be: &TieredBackend, f: &dyn BackendFile, durable: &Gate) {
+        f.write_at(1 << 20, b"probe").unwrap();
+        assert_eq!(be.shared.durable_async.load(Relaxed), CAP_ASYNC);
+        durable.release();
+    }
+
+    fn converged(be: &TieredBackend, fast: &Gate, durable: &Gate, path: &str) {
+        be.drain_barrier().unwrap();
+        assert_eq!(
+            durable.inner.contents(path).unwrap(),
+            fast.inner.contents(path).unwrap(),
+            "durable bytes differ from the newest fast bytes"
+        );
+        assert_eq!(be.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn at_ack_copy_skips_fast_reread_and_barrier_waits_for_its_ack() {
+        let (be, fast, durable) = gated(TieredParams::default());
+        let f = be.open("/a", OpenOptions::create_truncate()).unwrap();
+        learn_async(&be, f.as_ref(), &durable);
+        let (reads, opens) = (fast.reads(), durable.opens());
+        f.write_at(0, b"at-ack").unwrap();
+        f.write_at(6, b"+again").unwrap();
+        // Both writes acked while their durable copies are still out.
+        assert_eq!(durable.pending(), 2);
+        assert_eq!(be.resident_bytes(), 12);
+        assert_eq!(
+            fast.reads(),
+            reads,
+            "an at-ack copy never re-reads the fast tier"
+        );
+        assert_eq!(
+            durable.opens(),
+            opens + 1,
+            "at-ack copies share the file's one cached durable handle"
+        );
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let barrier = s.spawn(|| {
+                let r = be.drain_barrier();
+                done.store(true, Relaxed);
+                r
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(
+                !done.load(Relaxed),
+                "barrier returned before the durable ack"
+            );
+            durable.release();
+            barrier.join().unwrap().unwrap();
+        });
+        assert_eq!(
+            &durable.inner.contents("/a").unwrap()[..12],
+            b"at-ack+again"
+        );
+        assert_eq!(be.tier_counters().drain_ops, 3);
+        converged(&be, &fast, &durable, "/a");
+    }
+
+    #[test]
+    fn rewrite_of_in_flight_range_defers_and_drains_newest_bytes() {
+        let (be, fast, durable) = gated(TieredParams::default());
+        let f = be.open("/b", OpenOptions::create_truncate()).unwrap();
+        learn_async(&be, f.as_ref(), &durable);
+        let reads = fast.reads();
+        f.write_at(0, b"old-bytes").unwrap(); // at-ack, ack held
+        f.write_at(0, b"new-bytes-and-more").unwrap(); // overlaps it in flight
+        assert_eq!(durable.pending(), 1);
+        assert_eq!(
+            fast.reads(),
+            reads,
+            "a deferred op waits out the in-flight copy"
+        );
+        // Overlaps only the queued op: deferred too, though the pump may
+        // issue it at once (it re-reads, so order among deferred ops is
+        // free).
+        f.write_at(12, b"tail").unwrap();
+        assert_eq!(
+            fast.reads(),
+            reads + 1,
+            "the tail op re-read: it was deferred"
+        );
+        let queued = be.shared.queue.lock().ops.len();
+        assert_eq!(queued, 1, "the rewrite still waits for the old copy");
+        durable.open_gate();
+        converged(&be, &fast, &durable, "/b");
+        assert_eq!(fast.reads(), reads + 2);
+        assert_eq!(
+            &durable.inner.contents("/b").unwrap()[..18],
+            b"new-bytes-antailre"
+        );
+    }
+
+    #[test]
+    fn full_drain_window_defers() {
+        let (be, fast, durable) = gated(TieredParams {
+            drain_window: 1,
+            ..TieredParams::default()
+        });
+        let f = be.open("/c", OpenOptions::create_truncate()).unwrap();
+        learn_async(&be, f.as_ref(), &durable);
+        let reads = fast.reads();
+        f.write_at(0, b"first").unwrap(); // takes the one slot
+        f.write_at(5, b"second").unwrap(); // disjoint, but no room
+        {
+            let q = be.shared.queue.lock();
+            assert_eq!((q.inflight_total, q.ops.len()), (1, 1));
+        }
+        assert_eq!(fast.reads(), reads);
+        durable.open_gate();
+        converged(&be, &fast, &durable, "/c");
+        assert_eq!(fast.reads(), reads + 1, "only the deferred op re-read");
+    }
+
+    #[test]
+    fn first_op_defers_until_the_durable_tier_answers() {
+        let (be, fast, durable) = gated(TieredParams::default());
+        let f = be.open("/d", OpenOptions::create_truncate()).unwrap();
+        assert_eq!(be.shared.durable_async.load(Relaxed), CAP_UNKNOWN);
+        f.write_at(0, b"one").unwrap();
+        assert_eq!(fast.reads(), 1, "the first op drained by re-reading");
+        assert_eq!(be.shared.durable_async.load(Relaxed), CAP_ASYNC);
+        f.write_at(3, b"two").unwrap();
+        assert_eq!(fast.reads(), 1, "the next op went at-ack");
+        durable.open_gate();
+        converged(&be, &fast, &durable, "/d");
+
+        // A probe that cannot answer (pump stalled) holds a racing write
+        // back only for PROBE_WAIT; then it defers too.
+        let (be, fast, durable) = gated(TieredParams::default());
+        let f = be.open("/p", OpenOptions::create_truncate()).unwrap();
+        be.shared.pumping.store(true, Relaxed);
+        f.write_at(0, b"probe").unwrap();
+        let t0 = Instant::now();
+        f.write_at(5, b"racer").unwrap();
+        assert!(t0.elapsed() >= PROBE_WAIT);
+        let queued = be.shared.queue.lock().ops.len();
+        assert_eq!(queued, 2);
+        be.shared.pumping.store(false, Relaxed);
+        durable.open_gate();
+        converged(&be, &fast, &durable, "/p");
+
+        // A sync durable tier answers once and every op stays deferred —
+        // also one that acks inside `begin_write_at`, as Throttled does.
+        let (be, _fast, durable) = tiered(TieredParams::default());
+        let f = be.open("/s", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"sync").unwrap();
+        assert_eq!(be.shared.durable_async.load(Relaxed), CAP_SYNC);
+        f.write_at(4, b"tier").unwrap();
+        be.drain_barrier().unwrap();
+        assert_eq!(durable.contents("/s").unwrap(), b"synctier");
+        let be = TieredBackend::new(
+            Arc::new(MemBackend::new()),
+            Arc::new(ThrottledBackend::new(
+                MemBackend::new(),
+                ThrottleParams {
+                    bandwidth: 1 << 30,
+                    per_op_latency: Duration::ZERO,
+                    seek_penalty: Duration::ZERO,
+                },
+            )),
+            TieredParams::default(),
+        );
+        let f = be.open("/i", OpenOptions::create_truncate()).unwrap();
+        f.write_at(0, b"inline").unwrap();
+        assert_eq!(be.shared.durable_async.load(Relaxed), CAP_SYNC);
     }
 }

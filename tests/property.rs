@@ -1200,141 +1200,171 @@ fn tier_fill_expected(buf: &mut [u8], case_seed: u64, file: usize, base: u64) {
 /// the barrier — and once the barrier has retired every copy, the
 /// durable tier alone must hold the same bytes. Odd cases enable
 /// `evict_on_barrier`, so their readers also race the post-barrier
-/// eviction + read-miss promotion path.
+/// eviction + read-miss promotion path. The durable tier is a sync
+/// device in one set of cases (every copy re-reads the fast tier from
+/// the drain pump) and an async RPC store in the other (after the first
+/// op, copies leave from the acknowledged write's own buffer).
 #[test]
 fn tiered_restart_reads_race_in_progress_drain() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    use crfs::core::backend::{
-        OpenOptions, ThrottleParams, ThrottledBackend, TieredBackend, TieredParams,
-    };
+    use crfs::core::backend::{ThrottleParams, ThrottledBackend};
+    use crfs::storage::{RpcStore, RpcStoreParams};
 
     for_cases("tiered_restart_reads_race_in_progress_drain", 6, |rng| {
-        let case_seed = rng.next_u64();
-        let files = rng.gen_range(1usize..4);
-        let file_len = rng.gen_range((64u64 << 10)..(256 << 10));
-        let evict = rng.chance(0.5);
-
-        let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
         // Slow durable tier: at 16 MiB/s the drain of a few hundred KiB
         // stays in flight for tens of milliseconds — plenty of room for
         // the racing readers below to land inside it.
-        let durable: Arc<dyn Backend> = Arc::new(ThrottledBackend::new(
-            MemBackend::new(),
-            ThrottleParams {
-                bandwidth: 16 << 20,
-                per_op_latency: Duration::from_micros(200),
-                seek_penalty: Duration::ZERO,
-            },
-        ));
-        let params = TieredParams {
-            // Watermarks far above the working set: never write-through,
-            // every byte travels via the background drain.
-            watermark_hi: 1 << 30,
-            watermark_lo: 1 << 29,
-            evict_on_barrier: evict,
-            ..TieredParams::default()
-        };
-        let stack1 = Arc::new(TieredBackend::new(
-            Arc::clone(&fast),
-            Arc::clone(&durable),
-            params,
-        ));
-
-        // Writer: acked entirely by the fast tier; drains now in flight.
-        stack1.mkdir("/race").expect("mkdir");
-        for file in 0..files {
-            let f = stack1
-                .open(
-                    &format!("/race/f{file}.img"),
-                    OpenOptions::create_truncate(),
-                )
-                .expect("create");
-            let mut off = 0u64;
-            while off < file_len {
-                let len = (rng.gen_range((8u64 << 10)..(32 << 10))).min(file_len - off) as usize;
-                let mut buf = vec![0u8; len];
-                tier_fill_expected(&mut buf, case_seed, file, off);
-                f.write_at(off, &buf).expect("write");
-                off += len as u64;
-            }
-        }
-
-        // Restart: a second stack over the same two tiers, racing both
-        // the in-progress drain and stack1's barrier.
-        let stack2 = Arc::new(TieredBackend::new(
-            Arc::clone(&fast),
-            Arc::clone(&durable),
-            params,
-        ));
-        let barrier_done = Arc::new(AtomicBool::new(false));
-        let read_plan: Vec<(usize, u64, usize)> = (0..64)
-            .map(|_| {
-                let file = rng.gen_range(0usize..files);
-                let len = rng.gen_range(1u64..(16 << 10)).min(file_len) as usize;
-                let off = rng.gen_range(0u64..file_len - len as u64 + 1);
-                (file, off, len)
-            })
-            .collect();
-
-        std::thread::scope(|s| {
-            let flag = Arc::clone(&barrier_done);
-            let b = Arc::clone(&stack1);
-            s.spawn(move || {
-                b.drain_barrier().expect("clean drain");
-                flag.store(true, Ordering::Release);
-            });
-            for reader in 0..2 {
-                let stack2 = Arc::clone(&stack2);
-                let plan = read_plan.clone();
-                let barrier_done = Arc::clone(&barrier_done);
-                s.spawn(move || {
-                    for (i, &(file, off, len)) in plan.iter().enumerate() {
-                        if i % 2 != reader {
-                            continue;
-                        }
-                        let in_drain = !barrier_done.load(Ordering::Acquire);
-                        let f = stack2
-                            .open(&format!("/race/f{file}.img"), OpenOptions::read_only())
-                            .expect("restart open");
-                        let mut got = vec![0u8; len];
-                        let n = f.read_at(off, &mut got).expect("restart read");
-                        let mut want = vec![0u8; len];
-                        tier_fill_expected(&mut want, case_seed, file, off);
-                        assert_eq!(n, len, "short restart read at {off}+{len}");
-                        assert_eq!(
-                            got, want,
-                            "restart read f{file} [{off}, +{len}) saw wrong bytes \
-                             (drain in flight: {in_drain})"
-                        );
-                    }
-                });
-            }
+        tiered_drain_race_case(rng, || {
+            Arc::new(ThrottledBackend::new(
+                MemBackend::new(),
+                ThrottleParams {
+                    bandwidth: 16 << 20,
+                    per_op_latency: Duration::from_micros(200),
+                    seek_penalty: Duration::ZERO,
+                },
+            ))
         });
+    });
+    for_cases(
+        "tiered_restart_reads_race_in_progress_drain/rpc",
+        6,
+        |rng| {
+            // Async durable tier: sub-ms round trips, acks from a timer
+            // thread, so at-ack copies are still in flight when the readers
+            // and the barrier start.
+            tiered_drain_race_case(rng, || {
+                Arc::new(RpcStore::new(
+                    MemBackend::new(),
+                    RpcStoreParams {
+                        read_rtt: Duration::from_micros(200),
+                        write_rtt: Duration::from_micros(500),
+                        bandwidth: 16 << 20,
+                    },
+                ))
+            });
+        },
+    );
+}
 
-        // After the barrier every copy is durable; the durable tier
-        // alone must serve every byte (the fast tier may be gone — on
-        // evicting cases it literally is).
-        stack1.drain_barrier().expect("idempotent barrier");
-        let counters = stack1.tier_counters();
-        assert_eq!(counters.resident_bytes, 0, "drain left residue");
-        assert_eq!(counters.drain_failed, 0, "drain failures");
-        assert_eq!(counters.write_through_ops, 0, "unexpected write-through");
-        if evict {
-            assert!(counters.evictions > 0, "evict_on_barrier inert");
+fn tiered_drain_race_case(rng: &mut SimRng, durable_tier: impl FnOnce() -> Arc<dyn Backend>) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use crfs::core::backend::{OpenOptions, TieredBackend, TieredParams};
+
+    let case_seed = rng.next_u64();
+    let files = rng.gen_range(1usize..4);
+    let file_len = rng.gen_range((64u64 << 10)..(256 << 10));
+    let evict = rng.chance(0.5);
+
+    let fast: Arc<dyn Backend> = Arc::new(MemBackend::new());
+    let durable = durable_tier();
+    let params = TieredParams {
+        // Watermarks far above the working set: never write-through,
+        // every byte travels via the background drain.
+        watermark_hi: 1 << 30,
+        watermark_lo: 1 << 29,
+        evict_on_barrier: evict,
+        ..TieredParams::default()
+    };
+    let stack1 = Arc::new(TieredBackend::new(
+        Arc::clone(&fast),
+        Arc::clone(&durable),
+        params,
+    ));
+
+    // Writer: acked entirely by the fast tier; drains now in flight.
+    stack1.mkdir("/race").expect("mkdir");
+    for file in 0..files {
+        let f = stack1
+            .open(
+                &format!("/race/f{file}.img"),
+                OpenOptions::create_truncate(),
+            )
+            .expect("create");
+        let mut off = 0u64;
+        while off < file_len {
+            let len = (rng.gen_range((8u64 << 10)..(32 << 10))).min(file_len - off) as usize;
+            let mut buf = vec![0u8; len];
+            tier_fill_expected(&mut buf, case_seed, file, off);
+            f.write_at(off, &buf).expect("write");
+            off += len as u64;
         }
-        for file in 0..files {
-            let path = format!("/race/f{file}.img");
-            let f = durable
-                .open(&path, OpenOptions::read_only())
-                .expect("durable open");
-            let mut got = vec![0u8; file_len as usize];
-            let n = f.read_at(0, &mut got).expect("durable read");
-            assert_eq!(n, file_len as usize, "durable copy short");
-            let mut want = vec![0u8; file_len as usize];
-            tier_fill_expected(&mut want, case_seed, file, 0);
-            assert_eq!(got, want, "durable tier diverged on {path}");
+    }
+
+    // Restart: a second stack over the same two tiers, racing both
+    // the in-progress drain and stack1's barrier.
+    let stack2 = Arc::new(TieredBackend::new(
+        Arc::clone(&fast),
+        Arc::clone(&durable),
+        params,
+    ));
+    let barrier_done = Arc::new(AtomicBool::new(false));
+    let read_plan: Vec<(usize, u64, usize)> = (0..64)
+        .map(|_| {
+            let file = rng.gen_range(0usize..files);
+            let len = rng.gen_range(1u64..(16 << 10)).min(file_len) as usize;
+            let off = rng.gen_range(0u64..file_len - len as u64 + 1);
+            (file, off, len)
+        })
+        .collect();
+
+    std::thread::scope(|s| {
+        let flag = Arc::clone(&barrier_done);
+        let b = Arc::clone(&stack1);
+        s.spawn(move || {
+            b.drain_barrier().expect("clean drain");
+            flag.store(true, Ordering::Release);
+        });
+        for reader in 0..2 {
+            let stack2 = Arc::clone(&stack2);
+            let plan = read_plan.clone();
+            let barrier_done = Arc::clone(&barrier_done);
+            s.spawn(move || {
+                for (i, &(file, off, len)) in plan.iter().enumerate() {
+                    if i % 2 != reader {
+                        continue;
+                    }
+                    let in_drain = !barrier_done.load(Ordering::Acquire);
+                    let f = stack2
+                        .open(&format!("/race/f{file}.img"), OpenOptions::read_only())
+                        .expect("restart open");
+                    let mut got = vec![0u8; len];
+                    let n = f.read_at(off, &mut got).expect("restart read");
+                    let mut want = vec![0u8; len];
+                    tier_fill_expected(&mut want, case_seed, file, off);
+                    assert_eq!(n, len, "short restart read at {off}+{len}");
+                    assert_eq!(
+                        got, want,
+                        "restart read f{file} [{off}, +{len}) saw wrong bytes \
+                         (drain in flight: {in_drain})"
+                    );
+                }
+            });
         }
     });
+
+    // After the barrier every copy is durable; the durable tier
+    // alone must serve every byte (the fast tier may be gone — on
+    // evicting cases it literally is).
+    stack1.drain_barrier().expect("idempotent barrier");
+    let counters = stack1.tier_counters();
+    assert_eq!(counters.resident_bytes, 0, "drain left residue");
+    assert_eq!(counters.drain_failed, 0, "drain failures");
+    assert_eq!(counters.write_through_ops, 0, "unexpected write-through");
+    if evict {
+        assert!(counters.evictions > 0, "evict_on_barrier inert");
+    }
+    for file in 0..files {
+        let path = format!("/race/f{file}.img");
+        let f = durable
+            .open(&path, OpenOptions::read_only())
+            .expect("durable open");
+        let mut got = vec![0u8; file_len as usize];
+        let n = f.read_at(0, &mut got).expect("durable read");
+        assert_eq!(n, file_len as usize, "durable copy short");
+        let mut want = vec![0u8; file_len as usize];
+        tier_fill_expected(&mut want, case_seed, file, 0);
+        assert_eq!(got, want, "durable tier diverged on {path}");
+    }
 }
