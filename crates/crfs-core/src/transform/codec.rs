@@ -15,7 +15,9 @@
 //!   incompressible data: after each miss the probe advances
 //!   `1 + misses >> 8` bytes, and the step resets on a match.
 //!
-//! Both decoders are fully bounds-checked: corrupted stored bytes must
+//! Both decoders write into a caller-sized slice ([`decode_into`]), so
+//! the read path can decode a whole frame straight into its destination
+//! buffer. They are fully bounds-checked: corrupted stored bytes must
 //! surface as an error, never as a panic or an out-of-bounds copy — the
 //! integrity path depends on it.
 //!
@@ -88,15 +90,17 @@ pub const STORED_LZ: u8 = 2;
 /// `encode` appends the encoded form of `src` to `dst` and returns
 /// `true`, or returns `false` without obligation on `dst`'s tail when
 /// the encoding would reach `src.len()` bytes (the caller then stores
-/// raw). `decode` appends exactly the original payload to `dst` or
-/// fails with `InvalidData`.
+/// raw). `decode_into` fills exactly `dst.len()` bytes with the
+/// original payload or fails with `InvalidData` (leaving `dst`'s
+/// contents unspecified) — it never panics.
 pub trait Codec {
     /// The id stamped into frames this codec produces.
     fn id(&self) -> u8;
     /// Appends the encoding of `src` to `dst`; `false` if not smaller.
     fn encode(&self, src: &[u8], dst: &mut Vec<u8>) -> bool;
-    /// Appends the decoded payload (`logical_len` bytes) to `dst`.
-    fn decode(&self, src: &[u8], logical_len: usize, dst: &mut Vec<u8>) -> io::Result<()>;
+    /// Decodes `src` into `dst`, which must be exactly the payload's
+    /// length.
+    fn decode_into(&self, src: &[u8], dst: &mut [u8]) -> io::Result<()>;
 }
 
 fn corrupt(msg: &str) -> io::Error {
@@ -131,8 +135,25 @@ pub fn encode_payload(kind: CodecKind, src: &[u8], dst: &mut Vec<u8>) -> u8 {
     STORED_RAW
 }
 
+/// Decodes a payload stored under `stored_codec` into `dst`, which must
+/// be exactly the payload's logical length. Fails with `InvalidData` on
+/// any malformed input or length mismatch; `dst` is then unspecified.
+pub fn decode_into(stored_codec: u8, src: &[u8], dst: &mut [u8]) -> io::Result<()> {
+    match stored_codec {
+        STORED_RAW if src.len() == dst.len() => {
+            dst.copy_from_slice(src);
+            Ok(())
+        }
+        STORED_RAW => Err(corrupt("raw payload length mismatch")),
+        STORED_RLE => Rle.decode_into(src, dst),
+        STORED_LZ => Lz.decode_into(src, dst),
+        other => Err(corrupt(&format!("unknown stored codec id {other}"))),
+    }
+}
+
 /// Decodes a stored payload back to its `logical_len` original bytes,
-/// appended to `dst`. Fails with `InvalidData` on any malformed input.
+/// appended to `dst`. Fails with `InvalidData` on any malformed input,
+/// leaving `dst` as it was.
 pub fn decode_payload(
     stored_codec: u8,
     src: &[u8],
@@ -140,19 +161,8 @@ pub fn decode_payload(
     dst: &mut Vec<u8>,
 ) -> io::Result<()> {
     let mark = dst.len();
-    let res = match stored_codec {
-        STORED_RAW => {
-            if src.len() != logical_len {
-                Err(corrupt("raw payload length mismatch"))
-            } else {
-                dst.extend_from_slice(src);
-                Ok(())
-            }
-        }
-        STORED_RLE => Rle.decode(src, logical_len, dst),
-        STORED_LZ => Lz.decode(src, logical_len, dst),
-        other => Err(corrupt(&format!("unknown stored codec id {other}"))),
-    };
+    dst.resize(mark + logical_len, 0);
+    let res = decode_into(stored_codec, src, &mut dst[mark..]);
     if res.is_err() {
         dst.truncate(mark);
     }
@@ -216,33 +226,33 @@ impl Codec for Rle {
         dst.len() - start < budget
     }
 
-    fn decode(&self, src: &[u8], logical_len: usize, dst: &mut Vec<u8>) -> io::Result<()> {
-        let start = dst.len();
-        let mut i = 0;
+    fn decode_into(&self, src: &[u8], dst: &mut [u8]) -> io::Result<()> {
+        let overrun = || corrupt("RLE output overruns logical length");
+        let (mut i, mut o) = (0, 0);
         while i < src.len() {
             let c = src[i] as usize;
             i += 1;
             if c < 128 {
                 let n = c + 1;
-                if i + n > src.len() {
-                    return Err(corrupt("RLE literal run overruns input"));
-                }
-                dst.extend_from_slice(&src[i..i + n]);
+                let lit = src
+                    .get(i..i + n)
+                    .ok_or_else(|| corrupt("RLE literal run overruns input"))?;
+                dst.get_mut(o..o + n)
+                    .ok_or_else(overrun)?
+                    .copy_from_slice(lit);
                 i += n;
+                o += n;
             } else {
-                if i >= src.len() {
-                    return Err(corrupt("RLE repeat run missing byte"));
-                }
+                let &b = src
+                    .get(i)
+                    .ok_or_else(|| corrupt("RLE repeat run missing byte"))?;
                 let n = c - 128 + RLE_MIN_RUN;
-                let b = src[i];
                 i += 1;
-                dst.resize(dst.len() + n, b);
-            }
-            if dst.len() - start > logical_len {
-                return Err(corrupt("RLE output overruns logical length"));
+                dst.get_mut(o..o + n).ok_or_else(overrun)?.fill(b);
+                o += n;
             }
         }
-        if dst.len() - start != logical_len {
+        if o != dst.len() {
             return Err(corrupt("RLE output shorter than logical length"));
         }
         Ok(())
@@ -361,43 +371,50 @@ impl Codec for Lz {
         true
     }
 
-    fn decode(&self, src: &[u8], logical_len: usize, dst: &mut Vec<u8>) -> io::Result<()> {
-        let start = dst.len();
-        let mut i = 0;
+    fn decode_into(&self, src: &[u8], dst: &mut [u8]) -> io::Result<()> {
+        let overrun = || corrupt("LZ output overruns logical length");
+        let (mut i, mut o) = (0, 0);
         while i < src.len() {
             let c = src[i] as usize;
             i += 1;
             if c < 128 {
                 let n = c + 1;
-                if i + n > src.len() {
-                    return Err(corrupt("LZ literal run overruns input"));
-                }
-                dst.extend_from_slice(&src[i..i + n]);
+                let lit = src
+                    .get(i..i + n)
+                    .ok_or_else(|| corrupt("LZ literal run overruns input"))?;
+                dst.get_mut(o..o + n)
+                    .ok_or_else(overrun)?
+                    .copy_from_slice(lit);
                 i += n;
+                o += n;
             } else {
-                if i + 2 > src.len() {
+                let Some(d) = src.get(i..i + 2) else {
                     return Err(corrupt("LZ match missing distance"));
-                }
+                };
                 let len = c - 128 + LZ_MIN_MATCH;
-                let dist = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
+                let dist = u16::from_le_bytes([d[0], d[1]]) as usize;
                 i += 2;
-                let produced = dst.len() - start;
-                if dist == 0 || dist > produced {
+                if dist == 0 || dist > o {
                     return Err(corrupt("LZ match distance out of range"));
                 }
-                // Byte-at-a-time copy: matches may self-overlap
-                // (dist < len encodes a repeating pattern).
-                let from = dst.len() - dist;
-                for k in 0..len {
-                    let b = dst[from + k];
-                    dst.push(b);
+                if o + len > dst.len() {
+                    return Err(overrun());
                 }
-            }
-            if dst.len() - start > logical_len {
-                return Err(corrupt("LZ output overruns logical length"));
+                let from = o - dist;
+                if dist >= len {
+                    dst.copy_within(from..from + len, o);
+                } else {
+                    // Self-overlapping match (dist < len encodes a
+                    // repeating pattern): each byte may read one this
+                    // match just wrote, so copy forward byte by byte.
+                    for k in o..o + len {
+                        dst[k] = dst[k - dist];
+                    }
+                }
+                o += len;
             }
         }
-        if dst.len() - start != logical_len {
+        if o != dst.len() {
             return Err(corrupt("LZ output shorter than logical length"));
         }
         Ok(())
@@ -554,6 +571,109 @@ mod tests {
         // Unknown codec id.
         let mut dst = Vec::new();
         assert!(decode_payload(9, b"xx", 2, &mut dst).is_err());
+    }
+
+    /// The same corruption corpus as above, decoded into a slice of the
+    /// payload's length: every flip or cut must error or produce the
+    /// original bytes — never panic or write past the slice.
+    #[test]
+    fn decode_into_rejects_corruption_without_panicking() {
+        let data = mixed_payload(4096, 7);
+        for kind in [CodecKind::Rle, CodecKind::Lz] {
+            let mut enc = Vec::new();
+            let id = encode_payload(kind, &data, &mut enc);
+            let mut dst = vec![0u8; data.len()];
+            for i in 0..enc.len().min(512) {
+                let mut bad = enc.clone();
+                bad[i] ^= 0xFF;
+                let _ = decode_into(id, &bad, &mut dst);
+            }
+            for cut in [0, 1, enc.len() / 2, enc.len().saturating_sub(1)] {
+                assert!(
+                    decode_into(id, &enc[..cut], &mut dst).is_err() || dst == data,
+                    "{kind:?}: truncated input accepted with wrong output"
+                );
+            }
+        }
+        let mut dst = [0u8; 2];
+        assert!(decode_into(9, b"xx", &mut dst).is_err());
+    }
+
+    /// `decode_into` fills exactly `dst.len()` bytes: a slice one byte
+    /// longer or shorter than the decoded payload is rejected for every
+    /// stored form, raw included.
+    #[test]
+    fn decode_into_rejects_wrong_destination_length() {
+        let data = mixed_payload(4096, 11);
+        for kind in [CodecKind::Identity, CodecKind::Rle, CodecKind::Lz] {
+            let mut enc = Vec::new();
+            let id = encode_payload(kind, &data, &mut enc);
+            let mut exact = vec![0u8; data.len()];
+            decode_into(id, &enc, &mut exact).expect("exact length decodes");
+            assert_eq!(exact, data, "{kind:?}");
+            for len in [data.len() - 1, data.len() + 1, 0] {
+                let mut dst = vec![0u8; len];
+                let err = decode_into(id, &enc, &mut dst).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?} len {len}");
+            }
+        }
+    }
+
+    /// Byte-serial LZ reference decoder (the pre-slice algorithm), the
+    /// oracle for the slice decoder's `copy_within` and overlap paths.
+    fn lz_reference_decode(src: &[u8]) -> Vec<u8> {
+        let (mut out, mut i) = (Vec::new(), 0);
+        while i < src.len() {
+            let c = src[i] as usize;
+            i += 1;
+            if c < 128 {
+                out.extend_from_slice(&src[i..i + c + 1]);
+                i += c + 1;
+            } else {
+                let dist = u16::from_le_bytes([src[i], src[i + 1]]) as usize;
+                i += 2;
+                for _ in 0..c - 128 + LZ_MIN_MATCH {
+                    out.push(out[out.len() - dist]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn decode_into_roundtrips_self_overlapping_lz_matches() {
+        // Periodic data of every short period forces dist < len.
+        for period in 1..=9usize {
+            let data: Vec<u8> = (0..5000).map(|i| (i % period) as u8 + 1).collect();
+            let mut enc = Vec::new();
+            assert_eq!(encode_payload(CodecKind::Lz, &data, &mut enc), STORED_LZ);
+            let mut dst = vec![0u8; data.len()];
+            decode_into(STORED_LZ, &enc, &mut dst).unwrap();
+            assert_eq!(dst, data, "period {period}");
+        }
+        // Hand-built streams, checked against the reference: a 2-byte
+        // literal then one overlapping match (dist 1 or 2), and a
+        // 128-byte literal then matches both overlapping (dist 3) and
+        // not (dist >= len: the copy_within path).
+        for dist in 1..=2usize {
+            for len in [LZ_MIN_MATCH, 7, LZ_MAX_MATCH] {
+                let token = (128 + len - LZ_MIN_MATCH) as u8;
+                let src = [1, 0xA5, 0x3C, token, dist as u8, 0];
+                let want = lz_reference_decode(&src);
+                let mut dst = vec![0u8; want.len()];
+                Lz.decode_into(&src, &mut dst).unwrap();
+                assert_eq!(dst, want, "dist {dist} len {len}");
+            }
+        }
+        let mut src = vec![127u8];
+        src.extend((0..128u8).map(|b| b.wrapping_mul(37)));
+        for dist in [3usize, 64, 100, 128] {
+            src.extend_from_slice(&[(128 + 20) as u8, dist as u8, 0]);
+        }
+        let want = lz_reference_decode(&src);
+        let mut dst = vec![0u8; want.len()];
+        Lz.decode_into(&src, &mut dst).unwrap();
+        assert_eq!(dst, want);
     }
 
     /// splitmix64 output: incompressible, the worst case for LZ.

@@ -36,6 +36,16 @@
 //! [`CrfsError::IntegrityError`](crate::CrfsError::IntegrityError)
 //! instead of handing corrupt bytes to a restarting process.
 //!
+//! In-place decode: a read piece covering a frame's whole payload (the
+//! normal case — frames are sealed on the chunk grid, and prefetch
+//! fills and miss reads ask for whole chunks) is decoded and verified
+//! directly in the caller's buffer: raw stored bytes are read straight
+//! into it, compressed ones decode into it from one stored-length
+//! scratch buffer. Pieces covering part of a frame decode the frame
+//! into a per-call scratch payload instead. When decode or verification
+//! fails, the piece is zero-filled before the error returns, so
+//! unverified bytes never stay in a caller's buffer.
+//!
 //! Crash recovery (the acked-prefix contract, DESIGN.md §6): the open
 //! scan keeps the longest prefix of structurally valid frames and
 //! **discards** any torn tail — truncated header, bad header magic/CRC,
@@ -80,7 +90,7 @@ use crate::backend::{read_exact_at, Backend, BackendFile, OpenOptions};
 use crate::config::CrfsConfig;
 use crate::snapshot::{cas_path, manifest::ChunkRecord, ChunkKey, InflightGuard, SnapshotStore};
 use crate::stats::CrfsStats;
-use codec::{decode_payload, encode_payload, STORED_RAW};
+use codec::{decode_into, encode_payload, STORED_RAW};
 use frame::{
     fnv1a64, payload_hashes, FrameHeader, FLAG_PAD, FLAG_REF, FLAG_TRUNC, FRAME_HEADER_LEN,
     FRAME_MAGIC,
@@ -466,16 +476,37 @@ fn store_cas(
     snap.store_chunk(key, &cas, check)
 }
 
-/// Per-open-file transform state: the frame map and the stored-space
-/// tail allocator. Lives on the [`FileEntry`](crate::file::FileEntry)
-/// of every file on a transform-enabled mount whose stored layout is
-/// framed (new files always; existing files when the header scan
-/// recognizes them).
+/// Reads the `stored_len` stored payload bytes at `at`. A raw payload
+/// of exactly `dst`'s length is read straight into `dst` (`None`: no
+/// decode needed); anything else is returned in a scratch buffer for
+/// the caller to decode into `dst` — which also rejects a raw payload
+/// whose length disagrees.
+fn read_stored(
+    file: &dyn BackendFile,
+    at: u64,
+    stored_len: u32,
+    codec: u8,
+    dst: &mut [u8],
+) -> io::Result<Option<Vec<u8>>> {
+    if codec == STORED_RAW && stored_len as usize == dst.len() {
+        read_exact_at(file, at, dst)?;
+        return Ok(None);
+    }
+    let mut stored = vec![0u8; stored_len as usize];
+    read_exact_at(file, at, &mut stored)?;
+    Ok(Some(stored))
+}
+
 /// How many dedup-origin file handles a [`FileTransform`] caches for
 /// reference resolution (restart reads of deduped files resolve the
 /// same one or two origin files thousands of times).
 const ORIGIN_CACHE_CAP: usize = 8;
 
+/// Per-open-file transform state: the frame map and the stored-space
+/// tail allocator. Lives on the [`FileEntry`](crate::file::FileEntry)
+/// of every file on a transform-enabled mount whose stored layout is
+/// framed (new files always; existing files when the header scan
+/// recognizes them).
 pub struct FileTransform {
     ctx: Arc<TransformCtx>,
     map: Mutex<FrameMap>,
@@ -891,9 +922,14 @@ impl FileTransform {
 
     /// Serves a logical read: plans frame coverage (newest wins, holes
     /// zero-filled), then decodes and **verifies** each touched frame.
+    /// A piece covering a frame's whole payload — the normal case, as
+    /// frames are sealed on the chunk grid and prefetch fills and miss
+    /// reads ask for whole chunks — is decoded and verified in place in
+    /// `buf`; partial pieces decode into a per-call scratch payload.
     /// Returns the bytes produced (clamped at logical EOF). Any
     /// checksum mismatch or malformed frame fails the read with an
-    /// integrity-marked error and counts `integrity_failures`.
+    /// integrity-marked error, counts `integrity_failures`, and leaves
+    /// the failed piece of `buf` zeroed.
     pub fn read_logical(
         &self,
         file: &dyn BackendFile,
@@ -904,7 +940,7 @@ impl FileTransform {
         let (pieces, total) = self.map.lock().plan(offset, buf.len());
         // A frame's coverage can split into several pieces — and
         // overwrites can interleave pieces of *different* frames — so
-        // cache every frame decoded this call, not just the last one.
+        // cache every frame decoded this call for partial pieces.
         let mut decoded: Vec<(u64, Vec<u8>)> = Vec::new();
         for piece in pieces {
             match piece {
@@ -915,54 +951,88 @@ impl FileTransform {
                     within,
                     len,
                 } => {
+                    let out = &mut buf[dst..dst + len];
+                    if within == 0 && len == frame.logical_len as usize {
+                        self.fetch_frame_into(file, path, &frame, out)?;
+                        continue;
+                    }
                     let at = match decoded.iter().position(|(off, _)| *off == frame.stored_off) {
                         Some(i) => i,
                         None => {
-                            decoded.push((frame.stored_off, self.fetch_frame(file, path, &frame)?));
+                            let mut payload = vec![0u8; frame.logical_len as usize];
+                            if let Err(e) = self.fetch_frame_into(file, path, &frame, &mut payload)
+                            {
+                                out.fill(0);
+                                return Err(e);
+                            }
+                            decoded.push((frame.stored_off, payload));
                             decoded.len() - 1
                         }
                     };
-                    let payload = &decoded[at].1;
-                    buf[dst..dst + len].copy_from_slice(&payload[within..within + len]);
+                    out.copy_from_slice(&decoded[at].1[within..within + len]);
                 }
             }
         }
         Ok(total)
     }
 
-    /// Reads, decodes and verifies one frame's logical payload.
-    fn fetch_frame(
+    /// Reads, decodes and verifies one frame's whole logical payload
+    /// into `dst` (exactly `logical_len` bytes). Raw stored bytes — an
+    /// inline frame's or a REF frame's raw origin — are read straight
+    /// into `dst`; compressed ones go through a stored-length scratch
+    /// buffer and decode into `dst`. On any failure `dst` is zeroed:
+    /// unverified bytes never stay in a caller's buffer.
+    fn fetch_frame_into(
         &self,
         file: &dyn BackendFile,
         path: &str,
         f: &FrameEntry,
-    ) -> io::Result<Vec<u8>> {
+        dst: &mut [u8],
+    ) -> io::Result<()> {
+        let res = self.land_frame(file, path, f, dst);
+        if res.is_err() {
+            dst.fill(0);
+        }
+        res
+    }
+
+    /// The body of [`fetch_frame_into`](Self::fetch_frame_into), which
+    /// zeroes `dst` when this fails. `transform_ns`/`transform_decode`
+    /// time from the end of the frame's own stored read: decode and
+    /// checksum for inline frames, plus the origin read for REF frames.
+    fn land_frame(
+        &self,
+        file: &dyn BackendFile,
+        path: &str,
+        f: &FrameEntry,
+        dst: &mut [u8],
+    ) -> io::Result<()> {
         let stats = &self.ctx.stats;
-        let mut stored = vec![0u8; f.stored_len as usize];
-        read_exact_at(file, f.stored_off + FRAME_HEADER_LEN, &mut stored)?;
-        let t0 = Instant::now();
-        let payload = if f.flags & FLAG_REF != 0 {
-            self.resolve_ref(file, path, f, &stored)?
+        let body = f.stored_off + FRAME_HEADER_LEN;
+        let t0 = if f.flags & FLAG_REF != 0 {
+            let mut record = vec![0u8; f.stored_len as usize];
+            read_exact_at(file, body, &mut record)?;
+            let t0 = Instant::now();
+            self.resolve_ref_into(file, path, f, &record, dst)?;
+            t0
         } else {
-            let mut out = Vec::with_capacity(f.logical_len as usize);
-            decode_payload(f.codec, &stored, f.logical_len as usize, &mut out).map_err(|e| {
-                stats.bad_payload_checksum.fetch_add(1, Relaxed);
-                integrity(
-                    stats,
-                    format!("chunk at {} of {path:?} undecodable: {e}", f.logical_offset),
-                )
-            })?;
-            out
+            let stored = read_stored(file, body, f.stored_len, f.codec, dst)?;
+            let t0 = Instant::now();
+            if let Some(stored) = stored {
+                decode_into(f.codec, &stored, dst).map_err(|e| {
+                    self.bad_payload(format!(
+                        "chunk at {} of {path:?} undecodable: {e}",
+                        f.logical_offset
+                    ))
+                })?;
+            }
+            t0
         };
-        if fnv1a64(&payload) != f.check {
-            stats.bad_payload_checksum.fetch_add(1, Relaxed);
-            return Err(integrity(
-                stats,
-                format!(
-                    "chunk at {} of {path:?} failed its checksum",
-                    f.logical_offset
-                ),
-            ));
+        if fnv1a64(dst) != f.check {
+            return Err(self.bad_payload(format!(
+                "chunk at {} of {path:?} failed its checksum",
+                f.logical_offset
+            )));
         }
         let spent = t0.elapsed();
         stats
@@ -971,21 +1041,23 @@ impl FileTransform {
         if stats.stages.enabled() {
             stats.stages.transform_decode.record_dur(spent);
         }
-        Ok(payload)
+        Ok(())
     }
 
-    /// Resolves a dedup reference record to the origin frame's decoded
-    /// payload. The caller verifies the result against the reference's
-    /// own checksum, so a stale or mismatched origin is detected.
-    fn resolve_ref(
+    /// Resolves a dedup reference record into the origin frame's
+    /// decoded payload, landed in `dst`. The caller verifies `dst`
+    /// against the reference's own checksum, so a stale or mismatched
+    /// origin is detected.
+    fn resolve_ref_into(
         &self,
         file: &dyn BackendFile,
         path: &str,
         f: &FrameEntry,
-        payload: &[u8],
-    ) -> io::Result<Vec<u8>> {
+        record: &[u8],
+        dst: &mut [u8],
+    ) -> io::Result<()> {
         let stats = &self.ctx.stats;
-        if payload.len() < REF_META_LEN {
+        if record.len() < REF_META_LEN {
             return Err(integrity(
                 stats,
                 format!(
@@ -994,10 +1066,10 @@ impl FileTransform {
                 ),
             ));
         }
-        let origin_off = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        let origin_len = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-        let origin_codec = payload[12];
-        let origin_path = std::str::from_utf8(&payload[REF_META_LEN..]).map_err(|_| {
+        let origin_off = u64::from_le_bytes(record[..8].try_into().unwrap());
+        let origin_len = u32::from_le_bytes(record[8..12].try_into().unwrap());
+        let origin_codec = record[12];
+        let origin_path = std::str::from_utf8(&record[REF_META_LEN..]).map_err(|_| {
             integrity(
                 stats,
                 format!(
@@ -1006,26 +1078,38 @@ impl FileTransform {
                 ),
             )
         })?;
-        let mut stored = vec![0u8; origin_len as usize];
-        if origin_path == path {
-            read_exact_at(file, origin_off + FRAME_HEADER_LEN, &mut stored)?;
+        let handle;
+        let origin: &dyn BackendFile = if origin_path == path {
+            file
         } else {
-            let origin = self.origin_handle(origin_path).map_err(|e| {
+            handle = self.origin_handle(origin_path).map_err(|e| {
                 integrity(
                     stats,
                     format!("dedup origin {origin_path:?} unavailable: {e}"),
                 )
             })?;
-            read_exact_at(&*origin, origin_off + FRAME_HEADER_LEN, &mut stored)?;
+            &*handle
+        };
+        // Saturating: a damaged record must fail the read, not overflow.
+        let at = origin_off.saturating_add(FRAME_HEADER_LEN);
+        if let Some(stored) = read_stored(origin, at, origin_len, origin_codec, dst)? {
+            decode_into(origin_codec, &stored, dst).map_err(|e| {
+                self.bad_payload(format!(
+                    "dedup origin {origin_path:?}@{origin_off} undecodable: {e}"
+                ))
+            })?;
         }
-        let mut out = Vec::with_capacity(f.logical_len as usize);
-        decode_payload(origin_codec, &stored, f.logical_len as usize, &mut out).map_err(|e| {
-            integrity(
-                stats,
-                format!("dedup origin {origin_path:?}@{origin_off} undecodable: {e}"),
-            )
-        })?;
-        Ok(out)
+        Ok(())
+    }
+
+    /// A payload that failed to decode or verify: counted once in
+    /// `bad_payload_checksum` and once (by [`integrity`]) in
+    /// `integrity_failures`, whether the bytes were inline or a REF
+    /// frame's origin.
+    fn bad_payload(&self, detail: String) -> io::Error {
+        let stats = &self.ctx.stats;
+        stats.bad_payload_checksum.fetch_add(1, Relaxed);
+        integrity(stats, detail)
     }
 
     /// An open handle on a dedup-origin file, served from the bounded
@@ -1472,6 +1556,144 @@ mod tests {
         let err = ft.read_logical(&*file, &path, 0, &mut buf).unwrap_err();
         assert!(is_integrity_error(&err), "got: {err}");
         assert!(stats.integrity_failures.load(Relaxed) >= 1);
+    }
+
+    /// The stored forms a whole-frame read lands in place, as
+    /// `(name, codec, dedup, payload)`: inline raw, RLE and LZ frames,
+    /// then REF frames whose origin is raw or LZ (the second file of a
+    /// dedup pair references the first).
+    fn stored_forms() -> Vec<(&'static str, CodecKind, bool, Vec<u8>)> {
+        let mut runs = vec![0u8; 4096];
+        runs[1000..1300].fill(9);
+        vec![
+            ("raw", CodecKind::Identity, false, compressible(4096, 1)),
+            ("rle", CodecKind::Rle, false, runs),
+            ("lz", CodecKind::Lz, false, compressible(4096, 2)),
+            ("ref->raw", CodecKind::Identity, true, compressible(4096, 3)),
+            ("ref->lz", CodecKind::Lz, true, compressible(4096, 4)),
+        ]
+    }
+
+    /// Writes `data` once (inline forms) or into `/o` then `/f` (REF
+    /// forms) and returns the file to read, its path, its transform,
+    /// and the file holding the payload bytes (`/o` for REF forms).
+    fn write_form(
+        ctx: &Arc<TransformCtx>,
+        dedup: bool,
+        data: &[u8],
+    ) -> (
+        Box<dyn BackendFile>,
+        Arc<str>,
+        FileTransform,
+        Box<dyn BackendFile>,
+    ) {
+        let be = Arc::clone(&ctx.backend);
+        let path: Arc<str> = "/f".into();
+        let file = be.open(&path, OpenOptions::create_truncate()).unwrap();
+        let ft = FileTransform::fresh(Arc::clone(ctx));
+        if !dedup {
+            write_all(&ft, &*file, &path, 0, data);
+            let target = be.open(&path, OpenOptions::read_write()).unwrap();
+            return (file, path, ft, target);
+        }
+        let origin: Arc<str> = "/o".into();
+        let ofile = be.open(&origin, OpenOptions::create_truncate()).unwrap();
+        write_all(
+            &FileTransform::fresh(Arc::clone(ctx)),
+            &*ofile,
+            &origin,
+            0,
+            data,
+        );
+        write_all(&ft, &*file, &path, 0, data);
+        (file, path, ft, ofile)
+    }
+
+    #[test]
+    fn whole_frame_reads_land_in_place_for_every_stored_form() {
+        for (name, codec, dedup, data) in stored_forms() {
+            let (ctx, stats) = ctx(codec, dedup);
+            stats.stages.set_enabled(true);
+            let (file, path, ft, holder) = write_form(&ctx, dedup, &data);
+            assert_eq!(
+                ft.map.lock().frames[0].flags & FLAG_REF != 0,
+                dedup,
+                "{name}"
+            );
+            // The frame holding the payload bytes (a REF form's origin)
+            // is stored in the form under test, not the raw escape.
+            let mut hdr = [0u8; FRAME_HEADER_LEN as usize];
+            read_exact_at(&*holder, 0, &mut hdr).unwrap();
+            let want = match name.rsplit('>').next() {
+                Some("rle") => codec::STORED_RLE,
+                Some("lz") => codec::STORED_LZ,
+                _ => STORED_RAW,
+            };
+            assert_eq!(FrameHeader::decode(&hdr).unwrap().codec, want, "{name}");
+            let mut buf = vec![0xAAu8; data.len()];
+            assert_eq!(
+                ft.read_logical(&*file, &path, 0, &mut buf).unwrap(),
+                data.len()
+            );
+            assert!(buf == data, "{name}: whole-frame read is byte-exact");
+            assert_eq!(stats.stages.transform_decode.count(), 1, "{name}");
+            assert_eq!(stats.integrity_failures.load(Relaxed), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn corrupt_payloads_fail_whole_and_partial_reads_and_zero_the_piece() {
+        for (name, codec, dedup, data) in stored_forms() {
+            let (ctx, stats) = ctx(codec, dedup);
+            let (file, path, ft, target) = write_form(&ctx, dedup, &data);
+            // Flip the first stored byte: it is a control byte of the
+            // RLE and LZ streams (undecodable), a payload byte of a raw
+            // one (bad checksum) — inline or in the REF frame's origin.
+            let mut first = [0u8; 1];
+            target.read_at(FRAME_HEADER_LEN, &mut first).unwrap();
+            target
+                .write_at(FRAME_HEADER_LEN, &[first[0] ^ 0xFF])
+                .unwrap();
+            let why = if name.ends_with("raw") {
+                "checksum"
+            } else {
+                "undecodable"
+            };
+            for (off, len) in [(0, data.len()), (100, 300)] {
+                let mut buf = vec![0xAAu8; len];
+                let err = ft.read_logical(&*file, &path, off, &mut buf).unwrap_err();
+                assert!(is_integrity_error(&err), "{name} {off}+{len}: {err}");
+                assert!(err.to_string().contains(why), "{name} {off}+{len}: {err}");
+                assert!(
+                    buf.iter().all(|&b| b == 0),
+                    "{name} {off}+{len}: piece zeroed"
+                );
+            }
+            // One counting rule: each failed read counts one bad
+            // payload and one integrity failure, whether decode or the
+            // checksum failed, inline or in a REF frame's origin.
+            assert_eq!(stats.bad_payload_checksum.load(Relaxed), 2, "{name}");
+            assert_eq!(stats.integrity_failures.load(Relaxed), 2, "{name}");
+        }
+    }
+
+    #[test]
+    fn read_spanning_frame_hole_and_partial_frame_is_exact() {
+        let (ctx, stats) = ctx(CodecKind::Lz, false);
+        stats.stages.set_enabled(true);
+        let be = MemBackend::new();
+        let file = be.open("/f", OpenOptions::create_truncate()).unwrap();
+        let ft = FileTransform::fresh(ctx);
+        let path: Arc<str> = "/f".into();
+        let (a, b) = (compressible(1000, 1), compressible(1000, 2));
+        write_all(&ft, &*file, &path, 0, &a);
+        write_all(&ft, &*file, &path, 2000, &b);
+        let mut buf = vec![0xAAu8; 2500];
+        assert_eq!(ft.read_logical(&*file, &path, 0, &mut buf).unwrap(), 2500);
+        assert_eq!(&buf[..1000], &a[..], "whole frame, in place");
+        assert!(buf[1000..2000].iter().all(|&x| x == 0), "hole");
+        assert_eq!(&buf[2000..], &b[..500], "partial frame, via scratch");
+        assert_eq!(stats.stages.transform_decode.count(), 2);
     }
 
     #[test]

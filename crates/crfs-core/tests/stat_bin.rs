@@ -68,9 +68,9 @@ fn demo_json_histograms_agree_with_counters() {
         counter(&snap, "barrier_wait_ns")
     );
 
-    // transform_ns is fed at exactly two sites, encode_chunk and
-    // fetch_frame, each of which records the identical span into its
-    // stage histogram.
+    // transform_ns is fed at exactly two sites, encode_chunk and the
+    // read path's land_frame, each of which records the identical span
+    // into its stage histogram.
     assert_eq!(
         stage(&snap, "transform_encode", "sum") + stage(&snap, "transform_decode", "sum"),
         counter(&snap, "transform_ns")

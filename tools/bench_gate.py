@@ -16,7 +16,9 @@ as-is. Each CHECK is `key OP value` written without spaces, e.g.:
 Supported OPs: ==  !=  <=  >=  <  >. Values are parsed as JSON, so
 booleans (`true`), integers, and floats all work. Keys may be dotted
 paths into nested headline objects, e.g.
-`write_issue_to_complete.p99<=50000000`. The full headline is printed
+`write_issue_to_complete.p99<=50000000`; key names that contain dots
+themselves resolve too (longest matching key first), e.g.
+`metrics.attrib.restart_unattributed.value<=0.05`. The full headline is printed
 first (nested objects flattened to dotted keys) so the run log carries
 the numbers even when every gate passes; the first failing check exits
 1 with both sides of the comparison.
@@ -54,12 +56,28 @@ def fmt(v):
 
 
 def lookup(head, key):
-    """Resolve a dotted key path; returns (found, value)."""
-    node = head
-    for part in key.split("."):
-        if not isinstance(node, dict) or part not in node:
+    """Resolve a dotted key path; returns (found, value).
+
+    Key names may themselves contain dots (e2ebench metric names such as
+    `attrib.restart_unattributed`), so at each level the longest key that
+    is a whole-segment prefix of the remaining path wins: with
+    `metrics.attrib.restart_unattributed.value`, `metrics` resolves first,
+    then `attrib.restart_unattributed`, then `value`.
+    """
+    if not key:
+        return False, None
+    node, rest = head, key
+    while rest:
+        if not isinstance(node, dict):
             return False, None
-        node = node[part]
+        match = max(
+            (k for k in node if rest == k or rest.startswith(k + ".")),
+            key=len,
+            default=None,
+        )
+        if match is None:
+            return False, None
+        node, rest = node[match], rest[len(match) + 1 :]
     return True, node
 
 
